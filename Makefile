@@ -2,7 +2,7 @@ GO ?= go
 
 RACE_PKGS := ./...
 
-.PHONY: all build test vet fmt-check lint fuzz-smoke race bench bench-smoke bench-profile bench-cluster bench-churn bench-fanout bench-scale bench-scale-smoke bench-registrychurn bench-registrychurn-smoke bench-flashcrowd bench-flashcrowd-smoke bench-zipf
+.PHONY: all build test vet fmt-check lint fuzz-smoke race bench microbench bench-smoke bench-profile bench-cluster bench-churn bench-fanout bench-scale bench-scale-smoke bench-registrychurn bench-registrychurn-smoke bench-flashcrowd bench-flashcrowd-smoke bench-zipf
 
 all: build test vet fmt-check lint
 
@@ -46,6 +46,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# One iteration of every packet-path stage benchmark (asf read/write,
+# netsim link, streaming publish/serve): keeps them compiling and
+# passing on every push. Timings come from longer runs by hand.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/asf ./internal/netsim ./internal/streaming
 
 # Seconds-long cluster load benchmarks; CI runs them on every push so
 # the swarm harness (internal/loadgen) stays runnable end to end. The

@@ -35,7 +35,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -172,7 +171,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("open asset %s: %w", name, err)
 		}
-		_, err = srv.RegisterAsset(name, asf.NewReader(bufio.NewReader(f)))
+		_, err = srv.RegisterAsset(name, asf.NewReader(f))
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

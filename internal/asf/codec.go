@@ -47,61 +47,63 @@ func (c *cursor) str16(s string) error {
 
 // --- low-level decode helpers ---
 
+// scanner decodes fixed-width fields and length-prefixed strings from a
+// byte slice. Running out of bytes sets err the way io.ReadFull would:
+// io.EOF when nothing was left, io.ErrUnexpectedEOF for a partial field.
+// Only strings copy out of b, so b may be a bufio.Reader's Peek window.
 type scanner struct {
-	r   *bufio.Reader
+	b   []byte
 	err error
 }
 
-func (s *scanner) bytes(n int) []byte {
+func (s *scanner) next(n int) []byte {
 	if s.err != nil {
 		return nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(s.r, b); err != nil {
-		s.err = err
+	if len(s.b) < n {
+		s.err = io.ErrUnexpectedEOF
+		if len(s.b) == 0 {
+			s.err = io.EOF
+		}
+		s.b = nil
 		return nil
 	}
+	b := s.b[:n]
+	s.b = s.b[n:]
 	return b
 }
 
 func (s *scanner) u8() uint8 {
-	b := s.bytes(1)
-	if s.err != nil {
-		return 0
+	if b := s.next(1); b != nil {
+		return b[0]
 	}
-	return b[0]
+	return 0
 }
 
 func (s *scanner) u16() uint16 {
-	b := s.bytes(2)
-	if s.err != nil {
-		return 0
+	if b := s.next(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
 	}
-	return binary.LittleEndian.Uint16(b)
+	return 0
 }
 
 func (s *scanner) u32() uint32 {
-	b := s.bytes(4)
-	if s.err != nil {
-		return 0
+	if b := s.next(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b)
+	return 0
 }
 
 func (s *scanner) i64() int64 {
-	b := s.bytes(8)
-	if s.err != nil {
-		return 0
+	if b := s.next(8); b != nil {
+		return int64(binary.LittleEndian.Uint64(b))
 	}
-	return int64(binary.LittleEndian.Uint64(b))
+	return 0
 }
 
 func (s *scanner) str16() string {
 	n := s.u16()
-	if s.err != nil {
-		return ""
-	}
-	return string(s.bytes(int(n)))
+	return string(s.next(int(n)))
 }
 
 func (s *scanner) dur() time.Duration {
@@ -115,6 +117,18 @@ func (s *scanner) dur() time.Duration {
 		return 0
 	}
 	return d
+}
+
+// peek returns the next n buffered bytes of r without consuming them,
+// with io.ReadFull's end-of-stream contract: io.EOF only when no byte at
+// all was left, io.ErrUnexpectedEOF when the stream ended inside the n.
+// n must not exceed r's buffer size.
+func peek(r *bufio.Reader, n int) ([]byte, error) {
+	b, err := r.Peek(n)
+	if errors.Is(err, io.EOF) && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
 }
 
 // scratchPool recycles the encode scratch buffers: header and index
@@ -167,29 +181,29 @@ func EncodeHeader(h Header) ([]byte, error) {
 	return append(out, buf.Bytes()...), nil
 }
 
-// DecodeHeader reads and parses a header object from r.
-func DecodeHeader(r *bufio.Reader) (Header, error) {
+// decodeHeader reads and parses a header object from r.
+func decodeHeader(r *bufio.Reader) (Header, error) {
 	var h Header
-	s := &scanner{r: r}
-	magic := s.bytes(4)
-	if s.err != nil {
-		return h, fmt.Errorf("asf: read header magic: %w", s.err)
+	b, err := peek(r, len(headerMagic)+4)
+	if len(b) >= len(headerMagic) && !bytes.Equal(b[:len(headerMagic)], headerMagic[:]) {
+		return h, fmt.Errorf("%w: header %q", ErrBadMagic, b[:len(headerMagic)])
 	}
-	if !bytes.Equal(magic, headerMagic[:]) {
-		return h, fmt.Errorf("%w: header %q", ErrBadMagic, magic)
+	if err != nil {
+		return h, fmt.Errorf("asf: read header: %w", err)
 	}
-	size := s.u32()
-	if s.err != nil {
-		return h, fmt.Errorf("asf: read header size: %w", s.err)
-	}
+	size := binary.LittleEndian.Uint32(b[len(headerMagic):])
+	discard(r, len(b))
 	if size > MaxPayload {
 		return h, fmt.Errorf("%w: header %d bytes", ErrLimit, size)
 	}
-	body := s.bytes(int(size))
-	if s.err != nil {
-		return h, fmt.Errorf("asf: read header body: %w", s.err)
+	body := make([]byte, size)
+	if _, err := io.ReadFull(r, body); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF // the header frame has begun
+		}
+		return h, fmt.Errorf("asf: read header body: %w", err)
 	}
-	bs := &scanner{r: bufio.NewReader(bytes.NewReader(body))}
+	bs := &scanner{b: body}
 
 	if v := bs.u16(); v != Version {
 		if bs.err == nil {
@@ -234,6 +248,10 @@ func DecodeHeader(r *bufio.Reader) (Header, error) {
 	return h, nil
 }
 
+// discard consumes n bytes that a successful peek has already buffered,
+// which cannot fail.
+func discard(r *bufio.Reader, n int) { _, _ = r.Discard(n) }
+
 // appendPacket appends p's complete wire encoding (fixed header, CRC,
 // payload) to dst in one pass — the header and payload land in the same
 // buffer, so one Write sends both (the writev-style coalescing the
@@ -260,10 +278,16 @@ func EncodePacket(p Packet) ([]byte, error) {
 	return appendPacket(make([]byte, 0, packetWireSize+len(p.Payload)), p), nil
 }
 
-// decodePacketAfterMagic parses a packet body once the "PK" magic has been
-// consumed.
-func decodePacketAfterMagic(s *scanner) (Packet, error) {
+// decodePacket parses a packet whose "PK" magic r has peeked. The fixed
+// header is decoded in place from the peek window; the payload is the
+// one allocation, exactly sized and owned by the returned Packet.
+func decodePacket(r *bufio.Reader) (Packet, error) {
 	var p Packet
+	b, err := peek(r, packetWireSize)
+	if err != nil {
+		return p, fmt.Errorf("%w: truncated packet: %v", ErrCorrupt, err)
+	}
+	s := scanner{b: b[len(packetMagic):]}
 	p.Stream = media.StreamID(s.u16())
 	p.Kind = media.Kind(s.u8())
 	p.Flags = s.u8()
@@ -273,15 +297,16 @@ func decodePacketAfterMagic(s *scanner) (Packet, error) {
 	p.Seq = s.u32()
 	crc := s.u32()
 	n := s.u32()
+	discard(r, packetWireSize)
 	if s.err != nil {
-		return p, fmt.Errorf("%w: truncated packet: %v", ErrCorrupt, s.err)
+		return p, fmt.Errorf("%w: packet header: %v", ErrCorrupt, s.err)
 	}
 	if n > MaxPayload {
 		return p, fmt.Errorf("%w: payload %d bytes", ErrLimit, n)
 	}
-	p.Payload = s.bytes(int(n))
-	if s.err != nil {
-		return p, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, s.err)
+	p.Payload = make([]byte, n)
+	if _, err := io.ReadFull(r, p.Payload); err != nil {
+		return p, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
 	}
 	if payloadCRC(p.Payload) != crc {
 		return p, ErrChecksum
@@ -308,21 +333,30 @@ func EncodeIndex(ix Index) ([]byte, error) {
 	return out, nil
 }
 
-// decodeIndexAfterMagic parses an index body once "IX" has been consumed.
-func decodeIndexAfterMagic(s *scanner) (Index, error) {
-	n := s.u32()
-	if s.err != nil {
-		return nil, fmt.Errorf("%w: truncated index: %v", ErrCorrupt, s.err)
+// decodeIndex parses an index object whose "IX" magic r has consumed.
+func decodeIndex(r *bufio.Reader) (Index, error) {
+	b, err := peek(r, 4)
+	if err != nil {
+		return nil, fmt.Errorf("%w: truncated index: %v", ErrCorrupt, err)
 	}
+	n := binary.LittleEndian.Uint32(b)
+	discard(r, 4)
 	if n > MaxIndexEntries {
 		return nil, fmt.Errorf("%w: %d index entries", ErrLimit, n)
 	}
+	const entrySize = 8 + 4
 	ix := make(Index, 0, n)
 	for i := uint32(0); i < n; i++ {
+		b, err := peek(r, entrySize)
+		if err != nil {
+			return nil, fmt.Errorf("%w: truncated index entry: %v", ErrCorrupt, err)
+		}
+		s := scanner{b: b}
 		e := IndexEntry{PTS: s.dur()}
 		e.Seq = s.u32()
+		discard(r, entrySize)
 		if s.err != nil {
-			return nil, fmt.Errorf("%w: truncated index entry: %v", ErrCorrupt, s.err)
+			return nil, fmt.Errorf("%w: index entry: %v", ErrCorrupt, s.err)
 		}
 		ix = append(ix, e)
 	}
@@ -437,9 +471,12 @@ type Reader struct {
 	done      bool
 }
 
-// NewReader wraps r; call ReadHeader before ReadPacket.
+// NewReader wraps r; call ReadHeader before ReadPacket. The stream
+// buffer is bufio's default 4 KiB, which holds every fixed-size frame;
+// larger payloads are read past it straight into their own buffer. A
+// *bufio.Reader at least that large is used as is.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 64<<10)}
+	return &Reader{r: bufio.NewReader(r)}
 }
 
 // ReadHeader parses the header object.
@@ -447,7 +484,7 @@ func (r *Reader) ReadHeader() (Header, error) {
 	if r.hasHeader {
 		return r.header, nil
 	}
-	h, err := DecodeHeader(r.r)
+	h, err := decodeHeader(r.r)
 	if err != nil {
 		return h, err
 	}
@@ -465,25 +502,25 @@ func (r *Reader) ReadPacket() (Packet, error) {
 	if r.done {
 		return Packet{}, io.EOF
 	}
-	s := &scanner{r: r.r}
-	magic := s.bytes(2)
-	if s.err != nil {
+	magic, err := peek(r.r, len(packetMagic))
+	if err != nil {
 		r.done = true
 		// Only a pure EOF — zero bytes exactly on a frame boundary — is a
 		// clean end of stream. An ErrUnexpectedEOF means the transport was
 		// severed (a dying edge mid-stream): it must surface as an error,
 		// or a failover-capable client would mistake the truncation for a
 		// complete session and never resume.
-		if errors.Is(s.err, io.EOF) && !errors.Is(s.err, io.ErrUnexpectedEOF) {
+		if errors.Is(err, io.EOF) {
 			return Packet{}, io.EOF
 		}
-		return Packet{}, fmt.Errorf("asf: read packet magic: %w", s.err)
+		return Packet{}, fmt.Errorf("asf: read packet magic: %w", err)
 	}
 	switch {
 	case bytes.Equal(magic, packetMagic[:]):
-		return decodePacketAfterMagic(s)
+		return decodePacket(r.r)
 	case bytes.Equal(magic, indexMagic[:]):
-		ix, err := decodeIndexAfterMagic(s)
+		discard(r.r, len(indexMagic))
+		ix, err := decodeIndex(r.r)
 		if err != nil {
 			r.done = true
 			return Packet{}, err

@@ -2,9 +2,11 @@ package asf
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"time"
 
@@ -116,32 +118,123 @@ func TestFileRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestTruncationNeverPanics: arbitrary prefixes of a valid file produce
-// errors, never panics or bogus packets beyond the cut.
+// TestTruncationNeverPanics cuts a file at every byte offset and reads
+// each prefix through readers that return one byte, half the request,
+// or data together with io.EOF. Every complete packet before the cut
+// decodes intact, and io.EOF appears only when the cut falls on a frame
+// boundary: a clean end. Any cut inside a frame is an error that is not
+// io.EOF, so a failover-capable client never mistakes a severed stream
+// for a finished one.
 func TestTruncationNeverPanics(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, sampleHeader())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range samplePackets() {
-		if _, err := w.WritePacket(p); err != nil {
+	packets := samplePackets()
+	// ends[i] is the offset at which packet i's frame ends; ends[0] is
+	// the end of the header.
+	ends := make([]int, 0, len(packets)+1)
+	if err := w.WriteHeader(); err != nil {
+		t.Fatal(err)
+	}
+	ends = append(ends, buf.Len())
+	for i := range packets {
+		seq, err := w.WritePacket(packets[i])
+		if err != nil {
 			t.Fatal(err)
 		}
+		packets[i].Seq = seq
+		ends = append(ends, buf.Len())
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	for cut := 0; cut < len(full); cut += 7 {
-		r := NewReader(bytes.NewReader(full[:cut]))
-		if _, err := r.ReadHeader(); err != nil {
-			continue // truncated within header: fine
-		}
-		for {
-			if _, err := r.ReadPacket(); err != nil {
-				break // io.EOF or corruption error: both acceptable
+
+	readers := map[string]func(io.Reader) io.Reader{
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+		"data-err": iotest.DataErrReader,
+	}
+	for name, wrap := range readers {
+		for cut := 0; cut <= len(full); cut++ {
+			r := NewReader(wrap(bytes.NewReader(full[:cut])))
+			_, err := r.ReadHeader()
+			if cut < ends[0] {
+				if err == nil {
+					t.Fatalf("%s: header cut at %d accepted", name, cut)
+				}
+				if cut > 0 && errors.Is(err, io.EOF) {
+					t.Fatalf("%s: header cut at %d reads as a clean end: %v", name, cut, err)
+				}
+				continue
 			}
+			if err != nil {
+				t.Fatalf("%s: cut %d: header: %v", name, cut, err)
+			}
+			var got int
+			for {
+				p, err := r.ReadPacket()
+				if err == nil {
+					want := packets[got]
+					if p.Seq != want.Seq || p.PTS != want.PTS || !bytes.Equal(p.Payload, want.Payload) {
+						t.Fatalf("%s: cut %d: packet %d = %+v, want %+v", name, cut, got, p, want)
+					}
+					got++
+					continue
+				}
+				// A clean end is a bare io.EOF after the last complete
+				// packet, or after the whole index.
+				boundary := cut == ends[got] || cut == len(full)
+				if err == io.EOF && !boundary {
+					t.Fatalf("%s: cut %d inside a frame read as a clean end after %d packets", name, cut, got)
+				}
+				if err != io.EOF && boundary {
+					t.Fatalf("%s: cut %d on a frame boundary: %v", name, cut, err)
+				}
+				if err != io.EOF && errors.Is(err, io.EOF) {
+					t.Fatalf("%s: cut %d: truncation error wraps io.EOF: %v", name, cut, err)
+				}
+				break
+			}
+			if cut >= ends[len(packets)] && got != len(packets) {
+				t.Fatalf("%s: cut %d read %d packets, want %d", name, cut, got, len(packets))
+			}
+		}
+	}
+}
+
+// TestLargePayloadRoundTrip: a payload several times the reader's
+// stream buffer is read past the buffer, byte-exact, however the
+// transport splits it.
+func TestLargePayloadRoundTrip(t *testing.T) {
+	payload := make([]byte, 200<<10)
+	rand.New(rand.NewSource(7)).Read(payload)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, sampleHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Packet{Stream: media.StreamVideo, Kind: media.KindVideo, Flags: PacketKeyframe,
+		PTS: time.Second, Dur: 40 * time.Millisecond, Payload: payload}
+	if _, err := w.WritePacket(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, wrap := range map[string]func(io.Reader) io.Reader{
+		"whole":    func(r io.Reader) io.Reader { return r },
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+	} {
+		_, got, _, err := ReadAll(wrap(bytes.NewReader(buf.Bytes())))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != 1 || !bytes.Equal(got[0].Payload, payload) || got[0].PTS != want.PTS {
+			t.Fatalf("%s: large payload did not round-trip byte-exact", name)
 		}
 	}
 }

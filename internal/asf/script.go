@@ -1,7 +1,6 @@
 package asf
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 
@@ -49,7 +48,7 @@ func ParseScriptPacket(p Packet) (ScriptCommand, error) {
 	if p.Kind != media.KindScript {
 		return ScriptCommand{}, fmt.Errorf("asf: packet kind %s is not a script", p.Kind)
 	}
-	s := &scanner{r: bufio.NewReader(bytes.NewReader(p.Payload))}
+	s := scanner{b: p.Payload}
 	cmd := ScriptCommand{At: p.PTS}
 	cmd.Type = s.str16()
 	cmd.Param = s.str16()

@@ -110,12 +110,17 @@ var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 // different kind — both programmer errors caught on first scrape or
 // first update in any test.
 func (r *Registry) lookup(name, help string, k kind, buckets []float64, labels []Label) *series {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lookupLocked(name, help, k, buckets, labels)
+}
+
+// lookupLocked is lookup for callers already holding r.mu.
+func (r *Registry) lookupLocked(name, help string, k kind, buckets []float64, labels []Label) *series {
 	if !nameRE.MatchString(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
 	key := labelKey(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: k, buckets: buckets, series: make(map[string]*series)}
@@ -157,11 +162,12 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // GaugeFunc registers fn as the value of the gauge series name+labels,
 // evaluated at scrape time. Re-registering the same series replaces the
 // function (so a component can refresh its closure after a restart).
+// The series and its function appear together under one lock, so a
+// concurrent scrape never sees the series without its function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.lookup(name, help, gaugeFuncKind, nil, labels)
 	r.mu.Lock()
-	s.gaugeFn = fn
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	r.lookupLocked(name, help, gaugeFuncKind, nil, labels).gaugeFn = fn
 }
 
 // Histogram returns the histogram for name+labels, creating it on first

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -129,6 +130,29 @@ func TestGaugeFuncReplace(t *testing.T) {
 	reg.GaugeFunc("v", "", func() float64 { return 2 })
 	if got := reg.Status()["v"]; got != 2 {
 		t.Fatalf("gauge func = %v, want the replacement value 2", got)
+	}
+}
+
+// TestGaugeFuncScrapeRace scrapes while new gauge-func series are being
+// registered: a scrape must never find a series published without its
+// function (it would call a nil func and take the process down).
+func TestGaugeFuncScrapeRace(t *testing.T) {
+	reg := NewRegistry()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			reg.GaugeFunc("age_seconds", "", func() float64 { return 1 }, Label{"node", strconv.Itoa(i)})
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+			_ = reg.WritePrometheus(io.Discard)
+			_ = reg.Status()
+		}
 	}
 }
 

@@ -95,9 +95,6 @@ func (d Delivery) Transit() time.Duration { return d.ArrivedAt - d.SentAt }
 // delivery outcome. Calls must be made in non-decreasing sendAt order for
 // the serialization queue to be meaningful.
 func (l *Link) Transmit(sendAt time.Duration, size int) Delivery {
-	if l.rng == nil {
-		l.rng = rand.New(rand.NewSource(l.Seed))
-	}
 	d := Delivery{SentAt: sendAt, Bytes: size}
 
 	start := sendAt
@@ -111,6 +108,16 @@ func (l *Link) Transmit(sendAt time.Duration, size int) Delivery {
 	l.busyUntil = start + tx
 	d.DepartedAt = l.busyUntil
 
+	// Without jitter or loss no draw can change the outcome, so a
+	// deterministic link never builds its random source (one per cloned
+	// flow adds up under fan-out).
+	if l.Jitter == 0 && l.LossRate == 0 {
+		d.ArrivedAt = d.DepartedAt + l.Latency
+		return d
+	}
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(l.Seed))
+	}
 	// Consume randomness in a fixed order so loss and jitter streams are
 	// stable regardless of parameters.
 	lossDraw := l.rng.Float64()
@@ -129,7 +136,7 @@ func (l *Link) Transmit(sendAt time.Duration, size int) Delivery {
 // Reset clears queue state and reseeds the random streams.
 func (l *Link) Reset() {
 	l.busyUntil = 0
-	l.rng = rand.New(rand.NewSource(l.Seed))
+	l.rng = nil
 }
 
 // Clone returns a fresh Link with the same parameters but its own

@@ -118,6 +118,86 @@ func TestResetRestoresDeterminism(t *testing.T) {
 	}
 }
 
+// TestSeededStreamsPinned pins the delivery sequences of a jittery and
+// a lossy link, so changes to how Transmit draws its randomness cannot
+// silently shift any seeded run.
+func TestSeededStreamsPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		link Link
+		want []Delivery
+	}{
+		{"jitter", Link{BitsPerSecond: 768_000, Latency: 30 * time.Millisecond, Jitter: 10 * time.Millisecond, Seed: 7}, []Delivery{
+			{SentAt: 0, DepartedAt: 10416666, ArrivedAt: 42947890, Bytes: 1000},
+			{SentAt: 40000000, DepartedAt: 57708333, ArrivedAt: 93265712, Bytes: 1700},
+			{SentAt: 80000000, DepartedAt: 105000000, ArrivedAt: 137117713, Bytes: 2400},
+			{SentAt: 120000000, DepartedAt: 152291666, ArrivedAt: 191716148, Bytes: 3100},
+			{SentAt: 160000000, DepartedAt: 199583333, ArrivedAt: 239080321, Bytes: 3800},
+			{SentAt: 200000000, DepartedAt: 246875000, ArrivedAt: 282193182, Bytes: 4500},
+			{SentAt: 240000000, DepartedAt: 301041666, ArrivedAt: 337775618, Bytes: 5200},
+			{SentAt: 280000000, DepartedAt: 362499999, ArrivedAt: 400148096, Bytes: 5900},
+			{SentAt: 320000000, DepartedAt: 431249999, ArrivedAt: 467484378, Bytes: 6600},
+			{SentAt: 360000000, DepartedAt: 507291665, ArrivedAt: 542190422, Bytes: 7300},
+		}},
+		{"lossy", Link{BitsPerSecond: 2_000_000, Latency: 20 * time.Millisecond, LossRate: 0.3, Seed: 11}, []Delivery{
+			{SentAt: 0, DepartedAt: 4000000, Lost: true, Bytes: 1000},
+			{SentAt: 40000000, DepartedAt: 46800000, ArrivedAt: 66800000, Bytes: 1700},
+			{SentAt: 80000000, DepartedAt: 89600000, ArrivedAt: 109600000, Bytes: 2400},
+			{SentAt: 120000000, DepartedAt: 132400000, ArrivedAt: 152400000, Bytes: 3100},
+			{SentAt: 160000000, DepartedAt: 175200000, ArrivedAt: 195200000, Bytes: 3800},
+			{SentAt: 200000000, DepartedAt: 218000000, Lost: true, Bytes: 4500},
+			{SentAt: 240000000, DepartedAt: 260800000, ArrivedAt: 280800000, Bytes: 5200},
+			{SentAt: 280000000, DepartedAt: 303600000, ArrivedAt: 323600000, Bytes: 5900},
+			{SentAt: 320000000, DepartedAt: 346400000, ArrivedAt: 366400000, Bytes: 6600},
+			{SentAt: 360000000, DepartedAt: 389200000, ArrivedAt: 409200000, Bytes: 7300},
+		}},
+	}
+	for _, tc := range cases {
+		l := tc.link
+		for i, want := range tc.want {
+			got := l.Transmit(time.Duration(i)*40*time.Millisecond, 1000+i*700)
+			if got != want {
+				t.Errorf("%s delivery %d = %+v, want %+v", tc.name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestDeterministicTransmitAllocFree: a link without jitter or loss
+// never builds a random source, so a fresh flow (one per viewer, as
+// Clone hands out) shapes its packets without touching the heap.
+func TestDeterministicTransmitAllocFree(t *testing.T) {
+	avg := testing.AllocsPerRun(200, func() {
+		l := Link{BitsPerSecond: 1_000_000, Latency: 10 * time.Millisecond, Seed: 3}
+		l.Transmit(time.Millisecond, 1200)
+		l.Transmit(2*time.Millisecond, 1200)
+	})
+	if avg != 0 {
+		t.Fatalf("Transmit on a deterministic link allocates %.2f times; want 0", avg)
+	}
+}
+
+// BenchmarkLinkTransmit is the netsim link stage of the packet path:
+// one modeled transmission per op, on a deterministic link and on a
+// jittery, lossy one.
+func BenchmarkLinkTransmit(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		link Link
+	}{
+		{"deterministic", Link{BitsPerSecond: 768_000, Latency: 30 * time.Millisecond}},
+		{"lossy", LinkLossyWiFi},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			l := tc.link
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.Transmit(time.Duration(i)*time.Millisecond, 1200)
+			}
+		})
+	}
+}
+
 func TestPresetsValid(t *testing.T) {
 	for _, l := range []Link{LinkModem56k, LinkDSL, LinkLAN, LinkLossyWiFi} {
 		if err := l.Validate(); err != nil {

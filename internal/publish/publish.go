@@ -184,7 +184,7 @@ func readVideoContainer(path string) (video, audio []media.Sample, h asf.Header,
 	defer func() {
 		_ = f.Close()
 	}()
-	r := asf.NewReader(bufio.NewReader(f))
+	r := asf.NewReader(f)
 	h, err = r.ReadHeader()
 	if err != nil {
 		return nil, nil, h, fmt.Errorf("publish: video header: %w", err)

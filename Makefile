@@ -48,10 +48,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # One iteration of every packet-path stage benchmark (asf read/write,
-# netsim link, streaming publish/serve): keeps them compiling and
+# netsim link, streaming publish/serve, SDK open + redirect): keeps them compiling and
 # passing on every push. Timings come from longer runs by hand.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/asf ./internal/netsim ./internal/streaming
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/asf ./internal/netsim ./internal/streaming ./internal/client
 
 # Seconds-long cluster load benchmarks; CI runs them on every push so
 # the swarm harness (internal/loadgen) stays runnable end to end. The

@@ -8,13 +8,16 @@
 // player, and multi-user floor control. The streaming tier scales out
 // through internal/relay: edge nodes mirror stored assets and re-fan-out
 // live channels from an origin, and a cluster registry redirects clients
-// to the edge with the least bandwidth in flight (lodserver's
-// -origin/-edge/-registry flags).
+// to the edge a consistent-hash ring assigns each asset, falling back to
+// the edge with the least bandwidth in flight (lodserver's
+// -origin/-edge/-registry flags). Clients reach it through the
+// internal/client SDK, which fails over between edges.
 //
 // Edge mirroring is bounded: with -cache-bytes set, mirrored assets live
-// in a byte-capacity LRU that evicts least-recently-demanded mirrors
-// while pinning anything actively streaming, so an edge serves an
-// unbounded catalog in bounded memory. The whole serving stack is
+// in a byte-capacity cache (internal/edgecache) whose W-TinyLFU admission
+// keeps frequently demanded mirrors resident while pinning anything
+// actively streaming, so an edge serves an unbounded catalog in bounded
+// memory. The whole serving stack is
 // observable through internal/metrics — a dependency-free
 // counter/gauge/histogram registry every role exposes as Prometheus text
 // at GET /metrics and as a JSON snapshot at GET /status.

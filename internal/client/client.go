@@ -16,15 +16,15 @@
 //	m, err := sess.Play()          // scripted playback, failover inside
 //	st := sess.Stats()             // edge served, failovers, retries
 //
-// Under the hood a session runs the shared relay machinery — a
-// relay.StreamFetcher resolving the registry's 307 by hand (so failed
-// edges are nameable, reportable, and excludable) and a
-// relay.FailoverSession resuming stored streams at the last received
-// offset — so retry/resume/report behaviour exists exactly once. Paths,
-// query parameters, and headers all come from internal/proto; the SDK
-// always speaks the versioned /v1 form of the contract, and names are
-// percent-encoded by construction (an asset called "week 1/intro" just
-// works — no caller ever concatenates a route literal again).
+// A session follows the registry's 307 by hand, so it always knows
+// which edge is serving and can name, report, and exclude a failed one;
+// stored streams that sever mid-play resume at the last received
+// offset. This package is the only implementation of that
+// retry/resume/report protocol. Paths, query parameters, and headers
+// all come from internal/proto; the SDK always speaks the versioned /v1
+// form of the contract, and names are percent-encoded by construction
+// (an asset called "week 1/intro" just works — no caller ever
+// concatenates a route literal again).
 package client
 
 import (
@@ -57,6 +57,9 @@ const (
 type Client struct {
 	registry string
 	http     *http.Client
+	// noFollow shares http's transport but returns the registry's 307
+	// instead of following it, so a session learns the edge's host.
+	noFollow *http.Client
 	backoff  time.Duration
 }
 
@@ -75,8 +78,7 @@ func WithHTTPClient(h *http.Client) Option {
 }
 
 // WithBackoff sets the base of the bounded exponential delay between
-// failover attempts (relay.FailoverBackoff); zero keeps the 50ms
-// default.
+// failover attempts (vclock.Backoff); zero keeps the 50ms default.
 func WithBackoff(base time.Duration) Option {
 	return func(c *Client) { c.backoff = base }
 }
@@ -90,6 +92,12 @@ func New(registryURL string, opts ...Option) *Client {
 	}
 	for _, o := range opts {
 		o(c)
+	}
+	c.noFollow = &http.Client{
+		Transport: c.http.Transport,
+		CheckRedirect: func(*http.Request, []*http.Request) error {
+			return http.ErrUseLastResponse
+		},
 	}
 	return c
 }

@@ -295,6 +295,49 @@ func TestFailsOverToLiveEdge(t *testing.T) {
 	}
 }
 
+// TestResolveFailsOverToLiveEdge is the fetch-level failover check:
+// the ring-preferred edge is a corpse (its listener is closed), and a
+// raw Fetch must escape it to the live edge, report it dead to the
+// registry, and exclude exactly that one host.
+func TestResolveFailsOverToLiveEdge(t *testing.T) {
+	c := newCluster(t, "lec")
+	preferred, err := c.registry.PickFor(proto.StreamPath(proto.StreamVOD, "lec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deadHost, liveHost string
+	for i, id := range []string{"edge-a", "edge-b"} {
+		host := strings.TrimPrefix(c.edgeTS[i].URL, "http://")
+		if id == preferred.ID {
+			deadHost = host
+			c.edgeTS[i].Close() // connection refused from now on
+		} else {
+			liveHost = host
+		}
+	}
+	sess, err := New(c.regTS.URL, WithBackoff(time.Millisecond)).Open(context.Background(),
+		Spec{Kind: VOD, Name: "lec", Failover: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := sess.Fetch()
+	if err != nil {
+		t.Fatalf("failover never succeeded: %v", err)
+	}
+	body.Close()
+	if st := sess.Stats(); st.Edge != liveHost {
+		t.Fatalf("served by %s, want the live edge %s", st.Edge, liveHost)
+	}
+	for _, n := range c.registry.Nodes() {
+		if n.ID == preferred.ID && !n.Dead {
+			t.Fatal("dead edge not reported to the registry")
+		}
+	}
+	if got := sess.(*session).exclude; len(got) != 1 || got[0] != deadHost {
+		t.Fatalf("excluded = %v, want just the corpse %s", got, deadHost)
+	}
+}
+
 // TestNodesListsHealth covers the registry control plane through the
 // SDK: per-node health labels and heartbeat ages, including a draining
 // node.

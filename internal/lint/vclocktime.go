@@ -31,6 +31,7 @@ var vclockPackages = []string{
 	"internal/loadgen",
 	"internal/catalog",
 	"internal/edgecache",
+	"internal/client",
 }
 
 // vclockForbidden are the time-package members that read or schedule on

@@ -227,17 +227,3 @@ func (c *Cluster) drainSession(session client.Session, spec client.Spec,
 	res.DurationMs = float64(clock.Now().Sub(t0)) / float64(time.Millisecond)
 	return res
 }
-
-// sleepCtx waits for d on the clock or until ctx is cancelled,
-// reporting whether the full wait elapsed.
-func sleepCtx(ctx context.Context, clock vclock.Clock, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	select {
-	case <-clock.After(d):
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}

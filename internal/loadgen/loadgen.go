@@ -143,7 +143,7 @@ type Scenario struct {
 	// fails the session.
 	FailoverAttempts int `json:"failoverAttempts"`
 	// FailoverBackoff is the base of the bounded exponential backoff
-	// between attempts (relay.FailoverBackoff).
+	// between attempts (vclock.Backoff).
 	FailoverBackoff time.Duration `json:"-"`
 	// Popularity weights which stored asset (and group or live channel)
 	// each client demands: "" or "uniform" (every name equally likely),

@@ -151,14 +151,14 @@ func RunSharded(ctx context.Context, s Scenario, clients, edges, shards int) (*R
 func runChurn(ctx context.Context, clock vclock.Clock, c *Cluster, spec ChurnSpec, t0 time.Time, edges int) {
 	for k := 0; k < spec.Kills; k++ {
 		due := t0.Add(spec.FirstKill + time.Duration(k)*spec.Every)
-		if !sleepCtx(ctx, clock, due.Sub(clock.Now())) {
+		if !vclock.SleepCtx(ctx, clock, due.Sub(clock.Now())) {
 			return
 		}
 		if spec.KillRegistry {
 			if err := c.KillRegistry(); err != nil {
 				continue
 			}
-			alive := sleepCtx(ctx, clock, spec.RestartAfter)
+			alive := vclock.SleepCtx(ctx, clock, spec.RestartAfter)
 			// Restart even on cancellation so the final metric snapshots
 			// and teardown have a registry to talk to.
 			_ = c.RestartRegistry()
@@ -174,7 +174,7 @@ func runChurn(ctx context.Context, clock vclock.Clock, c *Cluster, spec ChurnSpe
 		if spec.RestartAfter <= 0 {
 			continue
 		}
-		alive := sleepCtx(ctx, clock, spec.RestartAfter)
+		alive := vclock.SleepCtx(ctx, clock, spec.RestartAfter)
 		// Restart even on cancellation so the cluster is whole for the
 		// final metric snapshots and teardown.
 		_ = c.RestartEdge(victim)

@@ -5,14 +5,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/proto"
-	"repro/internal/streaming"
 	"repro/internal/testutil"
 )
 
@@ -42,12 +40,12 @@ func TestRegistryReportFailureKillsNodeImmediately(t *testing.T) {
 		t.Fatal("unknown node reported killed")
 	}
 	for i := 0; i < 4; i++ {
-		n, err := g.Pick()
+		n, err := g.PickFor("")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n.ID == "a" {
-			t.Fatal("Pick returned a node reported dead")
+			t.Fatal("PickFor returned a node reported dead")
 		}
 	}
 	for _, n := range g.Nodes() {
@@ -63,7 +61,7 @@ func TestRegistryReportFailureKillsNodeImmediately(t *testing.T) {
 	if err := g.Heartbeat("b", NodeStats{ActiveClients: 50}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := g.Pick()
+	n, err := g.PickFor("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +79,7 @@ func TestRegistryDeregisterMarksNodeDraining(t *testing.T) {
 	if g.Deregister("a") {
 		t.Fatal("second deregister reported a state change")
 	}
-	if _, err := g.Pick(); !errors.Is(err, ErrNoNodes) {
+	if _, err := g.PickFor(""); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("pick after deregister = %v, want ErrNoNodes", err)
 	}
 	// The node stays listed so operators can watch the shutdown, with
@@ -94,12 +92,12 @@ func TestRegistryDeregisterMarksNodeDraining(t *testing.T) {
 	if err := g.Heartbeat("a", NodeStats{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Pick(); !errors.Is(err, ErrNoNodes) {
+	if _, err := g.PickFor(""); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("pick after draining heartbeat = %v, want ErrNoNodes", err)
 	}
 	// ...but an explicit re-registration (a restarted node) brings it back.
 	mustRegister(t, g, NodeInfo{ID: "a", URL: "http://edge-a:8081"})
-	if n, err := g.Pick(); err != nil || n.ID != "a" {
+	if n, err := g.PickFor(""); err != nil || n.ID != "a" {
 		t.Fatalf("pick after re-register = %v, %v", n, err)
 	}
 	if got := g.Nodes()[0].Health; got != proto.HealthAlive {
@@ -120,7 +118,7 @@ func TestRegistryPickHonorsExcludes(t *testing.T) {
 	if err := g.Heartbeat("b", NodeStats{ActiveClients: 9}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := g.Pick("edge-a:8081")
+	n, err := g.PickFor("", "edge-a:8081")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +126,11 @@ func TestRegistryPickHonorsExcludes(t *testing.T) {
 		t.Fatalf("pick with exclude = %s, want b", n.ID)
 	}
 	// Excluding by node ID works too.
-	if n, err = g.Pick("a"); err != nil || n.ID != "b" {
+	if n, err = g.PickFor("", "a"); err != nil || n.ID != "b" {
 		t.Fatalf("pick excluding by ID = %v %v", n, err)
 	}
 	// Everything excluded: no nodes, the client's cue to reset.
-	if _, err := g.Pick("a", "b"); !errors.Is(err, ErrNoNodes) {
+	if _, err := g.PickFor("", "a", "b"); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("pick with all excluded = %v, want ErrNoNodes", err)
 	}
 }
@@ -167,7 +165,8 @@ func TestRegistryHTTPFailureFeedback(t *testing.T) {
 	}
 
 	// A posted failure report kills the node for subsequent redirects.
-	if err := ReportFailure(nil, ts.URL, "edge-b:8081"); err != nil {
+	if err := postJSON(http.DefaultClient, ts.URL+proto.Versioned(proto.PathReportFailure),
+		proto.FailureReport{Node: "edge-b:8081"}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = noFollow.Do(req) // still excluding a, and b is now dead
@@ -222,8 +221,9 @@ func TestRejoinAfterRegistryRestartHeartbeatsImmediately(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		_ = RunHeartbeats(ctx, nil, ts.URL, NodeInfo{ID: "e1", URL: "http://edge1:8081"},
-			func() NodeStats { return NodeStats{ActiveClients: 7} }, interval, nil)
+		h := &Heartbeats{Registry: ts.URL, Info: NodeInfo{ID: "e1", URL: "http://edge1:8081"},
+			Snapshot: func() NodeStats { return NodeStats{ActiveClients: 7} }, Interval: interval}
+		_ = h.Run(ctx)
 	}()
 
 	waitStats := func(g *Registry, timeout time.Duration) time.Duration {
@@ -246,124 +246,5 @@ func TestRejoinAfterRegistryRestartHeartbeatsImmediately(t *testing.T) {
 		"node never re-registered")
 	if lag := waitStats(fresh, interval); lag > interval/2 {
 		t.Fatalf("stats arrived %v after rejoin; an immediate heartbeat should beat %v", lag, interval/2)
-	}
-}
-
-func TestStreamFetcherFailsOverToLiveEdge(t *testing.T) {
-	g := NewRegistry(nil)
-	reg := httptest.NewServer(g.Handler())
-	defer reg.Close()
-
-	// One healthy edge and one corpse (its listener is closed).
-	_, originTS := newOriginWithAsset(t, "lec")
-	edgeSrv := streaming.NewServer(nil)
-	edgeSrv.Pacing = false
-	live := httptest.NewServer(NewEdge(originTS.URL, edgeSrv).Handler())
-	defer live.Close()
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close() // connection refused from now on
-
-	mustRegister(t, g,
-		NodeInfo{ID: "dead", URL: deadURL},
-		NodeInfo{ID: "live", URL: live.URL})
-	// Make the corpse the preferred pick so the fetcher must escape it.
-	if err := g.Heartbeat("live", NodeStats{ActiveClients: 5}); err != nil {
-		t.Fatal(err)
-	}
-
-	f := NewStreamFetcher(reg.URL, nil)
-	var resp *http.Response
-	var err error
-	for attempt := 1; attempt <= 3; attempt++ {
-		var edgeHost string
-		resp, edgeHost, err = f.Fetch(context.Background(), "/vod/lec")
-		if err == nil {
-			defer resp.Body.Close()
-			if wantHost(t, live.URL) != edgeHost {
-				t.Fatalf("served by %s, want the live edge", edgeHost)
-			}
-			break
-		}
-		if !Retryable(err) {
-			t.Fatalf("attempt %d: non-retryable %v", attempt, err)
-		}
-	}
-	if err != nil {
-		t.Fatalf("failover never succeeded: %v", err)
-	}
-	// The corpse was reported: the registry marks it dead for everyone.
-	for _, n := range g.Nodes() {
-		if n.ID == "dead" && !n.Dead {
-			t.Fatal("dead edge not reported to the registry")
-		}
-	}
-	if got := f.Excluded(); len(got) != 1 {
-		t.Fatalf("excluded = %v, want just the corpse", got)
-	}
-}
-
-func wantHost(t *testing.T, raw string) string {
-	t.Helper()
-	u, err := url.Parse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return u.Host
-}
-
-func TestWithStart(t *testing.T) {
-	for _, tc := range []struct{ in, want string }{
-		{"/vod/lec", "/vod/lec?start=1500ms"},
-		{"/vod/lec?start=250ms", "/vod/lec?start=1500ms"},
-		{"/group/g?bw=768000", "/group/g?bw=768000&start=1500ms"},
-	} {
-		if got := WithStart(tc.in, 1500*time.Millisecond); got != tc.want {
-			t.Errorf("WithStart(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestStartOf guards the seek-resume seed: a session severed before
-// any media arrived must resume at its original seek point, which
-// WithStart would otherwise override with 0.
-func TestStartOf(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want time.Duration
-	}{
-		{"/vod/lec", 0},
-		{"/vod/lec?start=3000ms", 3 * time.Second},
-		{"/vod/lec?start=2s&other=1", 2 * time.Second},
-		{"/group/g?bw=768000", 0},
-		{"/vod/lec?start=garbage", 0},
-		{"/vod/lec?start=-5s", 0},
-	} {
-		if got := StartOf(tc.in); got != tc.want {
-			t.Errorf("StartOf(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-	// Round trip with WithStart: the seeded offset survives a pre-media
-	// sever (resume offset == original start).
-	target := "/vod/lec?start=3000ms"
-	if got := WithStart(target, StartOf(target)); got != "/vod/lec?start=3000ms" {
-		t.Errorf("pre-media resume target = %q", got)
-	}
-}
-
-func TestFailoverBackoffBounded(t *testing.T) {
-	if d := FailoverBackoff(100*time.Millisecond, 1); d != 100*time.Millisecond {
-		t.Fatalf("attempt 1 = %v", d)
-	}
-	if d := FailoverBackoff(100*time.Millisecond, 3); d != 400*time.Millisecond {
-		t.Fatalf("attempt 3 = %v", d)
-	}
-	for _, n := range []int{6, 20, 63} {
-		if d := FailoverBackoff(100*time.Millisecond, n); d != 2*time.Second {
-			t.Fatalf("attempt %d = %v, want the 2s cap", n, d)
-		}
-	}
-	if d := FailoverBackoff(0, 1); d != 50*time.Millisecond {
-		t.Fatalf("zero base attempt 1 = %v, want the 50ms default", d)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // registration was fatal — an edge whose heartbeat loop started while
 // the registry was restarting (connection refused) silently fell out of
 // the cluster forever. Now transport-level registration failures retry
-// with the same bounded exponential backoff the client failover path
-// uses (FailoverBackoff on the loop's Clock), and heartbeat failures
+// with the same bounded exponential backoff the client SDK's failover
+// uses (vclock.Backoff on the loop's Clock), and heartbeat failures
 // simply retry on the next tick; only a protocol rejection of the
 // registration itself (a 4xx — the registry understood us and said no)
 // is fatal, since retrying a malformed NodeInfo can never succeed.
@@ -44,7 +44,7 @@ type Heartbeats struct {
 	OnCatalog func(version uint64)
 	// RegisterBackoff is the base backoff between registration retries;
 	// <= 0 defaults to 100ms. Attempts back off exponentially, capped at
-	// 2s (FailoverBackoff).
+	// 2s (vclock.Backoff).
 	RegisterBackoff time.Duration
 }
 
@@ -116,10 +116,8 @@ func (h *Heartbeats) register(ctx context.Context, clock vclock.Clock) error {
 		if errors.As(err, &he) && he.Status >= 400 && he.Status < 500 {
 			return err
 		}
-		select {
-		case <-ctx.Done():
+		if !vclock.SleepCtx(ctx, clock, vclock.Backoff(backoff, attempt)) {
 			return ctx.Err()
-		case <-clock.After(FailoverBackoff(backoff, attempt)):
 		}
 	}
 }
@@ -138,13 +136,4 @@ func (h *Heartbeats) beat(lastCatalog *uint64) error {
 		}
 	}
 	return nil
-}
-
-// RunHeartbeats registers the node, posts one snapshot from snap
-// immediately, and then posts a fresh snapshot every interval until ctx
-// is cancelled — the plain-function form of Heartbeats.Run, kept for
-// callers that need no catalog sync.
-func RunHeartbeats(ctx context.Context, client *http.Client, base string, info NodeInfo, snap func() NodeStats, interval time.Duration, clock vclock.Clock) error {
-	h := &Heartbeats{Client: client, Registry: base, Info: info, Snapshot: snap, Interval: interval, Clock: clock}
-	return h.Run(ctx)
 }

@@ -37,7 +37,7 @@ const ExcludeHeader = proto.ExcludeHeader
 
 // Registry is the cluster's client entry point: edges register and
 // heartbeat their load, clients request streams and are redirected (307)
-// to the least-loaded live edge. Redirect counts per node, lost
+// to a live edge (PickFor). Redirect counts per node, lost
 // redirects (no live edge), live-node count, node deaths (failure
 // reports and graceful drains), and per-node heartbeat ages are
 // published on Metrics().
@@ -54,7 +54,7 @@ const ExcludeHeader = proto.ExcludeHeader
 //
 // Redirects for asset-keyed requests route through a consistent-hash
 // ring (hashRing) over the eligible nodes, so each asset concentrates
-// on one edge and Pick is a binary search instead of a table scan; the
+// on one edge and a pick is a binary search instead of a table scan; the
 // ring is rebuilt on membership changes and swapped atomically, and
 // PickFor falls back to the least-loaded eligible node when the ring's
 // choice is dead, draining, expired, or excluded.
@@ -124,11 +124,11 @@ type regNode struct {
 	host     string
 	stats    NodeStats
 	lastSeen time.Time
-	// dead marks a node reported unreachable; it is skipped by Pick
+	// dead marks a node reported unreachable; it is skipped by PickFor
 	// until the next heartbeat or registration revives it.
 	dead bool
 	// draining marks a node that deregistered for a graceful shutdown:
-	// skipped by Pick and reported with health "draining", revived only
+	// skipped by PickFor and reported with health "draining", revived only
 	// by an explicit re-registration (never by a stray heartbeat).
 	draining bool
 	// assigned counts redirects issued since the last heartbeat, so that
@@ -403,7 +403,7 @@ func (g *Registry) addNode(info NodeInfo, draining, restored bool) error {
 // A heartbeat revives a node marked dead — the node is demonstrably
 // back — but never a draining one: draining was the node's own
 // deliberate exit, and a heartbeat racing the deregistration must not
-// undo it. A drained node that restarts re-registers (RunHeartbeats
+// undo it. A drained node that restarts re-registers (Heartbeats.Run
 // always registers first), which clears the mark.
 func (g *Registry) Heartbeat(id string, stats NodeStats) error {
 	g.mu.Lock()
@@ -606,16 +606,6 @@ func (g *Registry) RollbackCatalog(version uint64) (uint64, error) {
 	return st.Version, err
 }
 
-// Pick selects the least-loaded live node and counts the assignment.
-// Ties break on node ID for determinism. Nodes named in exclude (by ID,
-// URL, or URL host) are skipped, so a failing-over client is never
-// bounced back to the node it just escaped; when every live node is
-// excluded Pick returns ErrNoNodes and the client should drop its
-// stale exclusions and retry.
-func (g *Registry) Pick(exclude ...string) (NodeInfo, error) {
-	return g.PickFor("", exclude...)
-}
-
 // PickFor selects the node serving key — a stream path in its
 // unversioned form (proto.StreamPath), e.g. "/vod/lec-3" — and counts
 // the assignment. A non-empty key routes through the consistent-hash
@@ -624,7 +614,11 @@ func (g *Registry) Pick(exclude ...string) (NodeInfo, error) {
 // concentrates on one edge and the cluster mirrors it once instead of
 // once per edge. When the preferred node is dead, draining, expired,
 // or excluded — or the key is empty — PickFor falls back to the
-// least-loaded eligible node, exactly the old Pick behaviour.
+// least-loaded eligible node, ties broken on node ID for determinism.
+// Nodes named in exclude (by ID, URL, or URL host) are skipped, so a
+// failing-over client is never bounced back to the node it just
+// escaped; when every live node is excluded PickFor returns ErrNoNodes
+// and the client should drop its stale exclusions and retry.
 //
 // The ring lookup runs lock-free on an atomically published ring; only
 // the validation and load accounting take g.mu. The whole path is

@@ -90,21 +90,21 @@ func TestRegistryRestoredDrainingStaysDraining(t *testing.T) {
 	if len(nodes) != 1 || nodes[0].Health != proto.HealthDraining {
 		t.Fatalf("restored nodes = %+v, want e1 draining", nodes)
 	}
-	if _, err := g2.Pick(); err == nil {
+	if _, err := g2.PickFor(""); err == nil {
 		t.Fatal("restored draining node was picked")
 	}
 	// A heartbeat racing the restart must not undo the drain either.
 	if err := g2.Heartbeat("e1", NodeStats{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g2.Pick(); err == nil {
+	if _, err := g2.PickFor(""); err == nil {
 		t.Fatal("draining node picked after heartbeat")
 	}
 	// Re-registration is the deliberate comeback.
 	if err := g2.Register(NodeInfo{ID: "e1", URL: "http://edge1:8081"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g2.Pick(); err != nil {
+	if _, err := g2.PickFor(""); err != nil {
 		t.Fatalf("pick after re-registration: %v", err)
 	}
 }

@@ -51,7 +51,7 @@ func TestRegistryHeartbeatUnknownNode(t *testing.T) {
 
 func TestRegistryPickLeastLoaded(t *testing.T) {
 	g := NewRegistry(nil)
-	if _, err := g.Pick(); !errors.Is(err, ErrNoNodes) {
+	if _, err := g.PickFor(""); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("pick on empty registry = %v", err)
 	}
 	for _, n := range []NodeInfo{
@@ -64,14 +64,14 @@ func TestRegistryPickLeastLoaded(t *testing.T) {
 	}
 	// Equal load: ties break on ID, and each pick counts as an
 	// assignment, so consecutive picks alternate.
-	first, err := g.Pick()
+	first, err := g.PickFor("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.ID != "a" {
 		t.Fatalf("first pick = %q, want tie-break on a", first.ID)
 	}
-	second, err := g.Pick()
+	second, err := g.PickFor("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRegistryPickLeastLoaded(t *testing.T) {
 	if err := g.Heartbeat("b", NodeStats{ActiveClients: 7}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Pick()
+	got, err := g.PickFor("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRegistryCapacityFractionBreaksTies(t *testing.T) {
 	if err := g.Heartbeat("roomy", NodeStats{ActiveClients: 1, ReservedBps: 100, CapacityBps: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Pick()
+	got, err := g.PickFor("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRegistryPrefersBytesInFlight(t *testing.T) {
 	if err := g.Heartbeat("light", NodeStats{ActiveClients: 3, InFlightBps: 168_000}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Pick()
+	got, err := g.PickFor("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestRegistryRegisterScrapeNoDeadlock(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_, _ = g.Pick()
+				_, _ = g.PickFor("")
 			}
 		}()
 	}
@@ -232,14 +232,14 @@ func TestRegistryTTLExpiresSilentNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(DefaultNodeTTL + time.Second)
-	if _, err := g.Pick(); !errors.Is(err, ErrNoNodes) {
+	if _, err := g.PickFor(""); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("pick after TTL = %v, want ErrNoNodes", err)
 	}
 	// A heartbeat revives the node.
 	if err := g.Heartbeat("a", NodeStats{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Pick(); err != nil {
+	if _, err := g.PickFor(""); err != nil {
 		t.Fatalf("pick after heartbeat = %v", err)
 	}
 }
@@ -328,8 +328,9 @@ func TestHeartbeatsSurviveRegistryRestart(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- RunHeartbeats(ctx, nil, ts.URL, NodeInfo{ID: "e1", URL: "http://edge1:8081"},
-			func() NodeStats { return NodeStats{} }, 2*time.Millisecond, nil)
+		h := &Heartbeats{Registry: ts.URL, Info: NodeInfo{ID: "e1", URL: "http://edge1:8081"},
+			Snapshot: func() NodeStats { return NodeStats{} }, Interval: 2 * time.Millisecond}
+		done <- h.Run(ctx)
 	}()
 
 	waitRegistered := func(g *Registry) {
@@ -348,7 +349,7 @@ func TestHeartbeatsSurviveRegistryRestart(t *testing.T) {
 
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunHeartbeats returned %v", err)
+		t.Fatalf("Heartbeats.Run returned %v", err)
 	}
 }
 

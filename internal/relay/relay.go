@@ -1,6 +1,8 @@
 // Package relay implements the distributed origin→edge tier of the
 // Lecture-on-Demand system: the paper's single streaming server scaled
-// out to a cluster, as its §1 "distributed" deployment implies.
+// out to a cluster, as its §1 "distributed" deployment implies. It is
+// server-side only; the client half of the protocol (following the
+// redirect, failing over, resuming) is the internal/client SDK.
 //
 // Three roles cooperate:
 //
@@ -13,31 +15,33 @@
 //     edge's memory, and multi-rate groups are mirrored variant by
 //     variant (/groups).
 //   - The Registry tracks the cluster's edges via registration and
-//     periodic heartbeats carrying per-node load (ServerStats plus
-//     admission-control reservations) and redirects incoming clients
-//     (HTTP 307) to the least-loaded live edge. Load is compared on
-//     reported bytes-in-flight — the summed declared bandwidth of the
-//     node's active sessions — falling back to raw session count for
-//     nodes that do not report it (see NodeStats.Load).
-//
-// Clients need no cluster awareness: they request /vod/... or /live/...
-// from the registry and follow the redirect.
+//     periodic heartbeats carrying per-node load (Heartbeats is the
+//     node-side loop) and redirects incoming clients (HTTP 307). A
+//     stream request goes to the edge a consistent-hash ring assigns its
+//     asset, so each asset is mirrored about once per cluster; when that
+//     edge is dead, draining, expired, or excluded by the client, the
+//     registry falls back to the least-loaded eligible edge. Load is
+//     compared on reported bytes-in-flight — the summed declared
+//     bandwidth of the node's active sessions — falling back to raw
+//     session count for nodes that do not report it (see
+//     NodeStats.Load).
 //
 // The cluster is churn-tolerant: a client whose edge refuses the
 // connection or severs the stream reports the node dead
-// (POST /registry/report-failure) and retries through the registry,
-// excluding the nodes it escaped (StreamFetcher); a draining node
+// (POST /registry/report-failure) and asks the registry again, naming
+// the nodes it escaped in the proto.ExcludeHeader; a draining node
 // deregisters itself (POST /registry/deregister); and a dead node
 // revives on its next heartbeat, so membership re-converges
 // incrementally as edges die, restart, and rejoin.
 //
 // Both roles are observable: an Edge counts its mirror cache (hits,
-// misses, LRU evictions, resident and origin-pulled bytes) on its
-// server's metrics registry, and the Registry counts redirects and
-// exposes per-node heartbeat ages on its own (Registry.Metrics). When
-// Edge.CacheBytes is set, mirrored assets are evicted
-// least-recently-demanded-first once the budget is exceeded, with
-// in-use and grouped assets pinned — see Edge.
+// misses, evictions, admission rejects, coalesced pulls, resident and
+// origin-pulled bytes) on its server's metrics registry, and the
+// Registry counts redirects and exposes per-node heartbeat ages on its
+// own (Registry.Metrics). When Edge.CacheBytes is set, internal/edgecache
+// decides which mirrors stay resident — W-TinyLFU admission by default,
+// so one-hit wonders cannot evict hot assets — with in-use and grouped
+// assets pinned; see Edge.
 package relay
 
 import (
@@ -65,7 +69,7 @@ type (
 	// NodeInfo identifies one edge node in the cluster.
 	NodeInfo = proto.NodeInfo
 	// NodeStats is the load snapshot a node reports on each heartbeat;
-	// its Load method is the balancing score Pick compares.
+	// its Load method is the balancing score PickFor compares.
 	NodeStats = proto.NodeStats
 	// NodeStatus is the externally visible state of one registered
 	// node, as served by GET /v1/registry/nodes.
@@ -162,17 +166,6 @@ func Heartbeat(client *http.Client, base, id string, stats NodeStats) (uint64, e
 		return 0, fmt.Errorf("%w: %v", ErrUnknownNode, err)
 	}
 	return ver, err
-}
-
-// ReportFailure tells the registry at base that the node named by ref
-// (node ID, URL, or URL host — whichever the reporter knows) failed a
-// fetch, so the registry marks it dead immediately instead of waiting
-// out its TTL. A nil client uses http.DefaultClient.
-func ReportFailure(client *http.Client, base, ref string) error {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	return postJSON(client, base+proto.Versioned(proto.PathReportFailure), proto.FailureReport{Node: ref})
 }
 
 // Deregister tells the registry at base the node is draining — a

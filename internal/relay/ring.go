@@ -23,9 +23,9 @@ const ringVnodes = 128
 // A ring is immutable after build. The Registry rebuilds it whenever
 // eligibility membership changes (register, revive, death, drain,
 // prune) and swaps it atomically; readers load the pointer without the
-// registry lock, so a Pick never observes a torn ring. Liveness is NOT
+// registry lock, so a PickFor never observes a torn ring. Liveness is NOT
 // baked in: a ring entry can go stale (TTL expiry races no rebuild), so
-// Pick re-validates the chosen node under the lock and falls back to
+// PickFor re-validates the chosen node under the lock and falls back to
 // least-loaded when the preferred node is dead, draining, expired, or
 // excluded.
 type hashRing struct {

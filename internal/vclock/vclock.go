@@ -19,6 +19,7 @@ package vclock
 
 import (
 	"container/heap"
+	"context"
 	"sync"
 	"time"
 )
@@ -178,4 +179,34 @@ func (v *Virtual) NextDeadline() (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return v.waiters[0].at, true
+}
+
+// SleepCtx waits for d on clock or until ctx is cancelled, reporting
+// whether the full wait elapsed. A non-positive d does not wait; it
+// reports whether ctx is still live.
+func SleepCtx(ctx context.Context, clock Clock, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
+	select {
+	case <-clock.After(d):
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// Backoff returns the delay before retry attempt n (1-based): bounded
+// exponential, base·2^(n-1), capped at 2s so a retrying client rejoins
+// within human reaction time rather than minutes. A non-positive base
+// defaults to 50ms.
+func Backoff(base time.Duration, attempt int) time.Duration {
+	if base <= 0 {
+		base = 50 * time.Millisecond
+	}
+	d := base << uint(attempt-1)
+	if max := 2 * time.Second; d > max || d <= 0 {
+		return max
+	}
+	return d
 }

@@ -1,6 +1,8 @@
 package vclock
 
 import (
+	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -152,5 +154,48 @@ func TestRealClockBasics(t *testing.T) {
 	c.Sleep(time.Millisecond)
 	if time.Since(start) < time.Millisecond {
 		t.Fatal("Real.Sleep returned too early")
+	}
+}
+
+func TestBackoffBounded(t *testing.T) {
+	if d := Backoff(100*time.Millisecond, 1); d != 100*time.Millisecond {
+		t.Fatalf("attempt 1 = %v", d)
+	}
+	if d := Backoff(100*time.Millisecond, 3); d != 400*time.Millisecond {
+		t.Fatalf("attempt 3 = %v", d)
+	}
+	for _, n := range []int{6, 20, 63} {
+		if d := Backoff(100*time.Millisecond, n); d != 2*time.Second {
+			t.Fatalf("attempt %d = %v, want the 2s cap", n, d)
+		}
+	}
+	if d := Backoff(0, 1); d != 50*time.Millisecond {
+		t.Fatalf("zero base attempt 1 = %v, want the 50ms default", d)
+	}
+}
+
+func TestSleepCtx(t *testing.T) {
+	v := NewVirtual()
+	done := make(chan bool)
+	go func() { done <- SleepCtx(context.Background(), v, time.Second) }()
+	for v.PendingWaiters() == 0 {
+		runtime.Gosched()
+	}
+	v.Advance(time.Second)
+	if !<-done {
+		t.Fatal("full wait reported as cancelled")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { done <- SleepCtx(ctx, v, time.Second) }()
+	for v.PendingWaiters() == 0 {
+		runtime.Gosched()
+	}
+	cancel()
+	if <-done {
+		t.Fatal("cancelled wait reported as elapsed")
+	}
+	if !SleepCtx(context.Background(), v, 0) || SleepCtx(ctx, v, 0) {
+		t.Fatal("zero wait must report whether ctx is live")
 	}
 }
